@@ -57,6 +57,22 @@ _EXPIRED = object()
 _TIMED_OUT = object()
 
 
+def _disarmed(_timer: Any) -> None:
+    """Placeholder left in a shared timer's slot once its RPC settled."""
+
+
+def _disarm(timer: Any, slot: int) -> None:
+    """Release the subscription at ``slot`` of a shared timer, in O(1).
+
+    Overwrites instead of removing, so the slots of the other RPCs on
+    the tick stay valid and the remaining subscribers fire in their
+    original order.  A fired timer has already detached its list.
+    """
+    callbacks = timer.callbacks
+    if callbacks is not None:
+        callbacks[slot] = _disarmed
+
+
 class RpcTimeout(Exception):
     """An RPC did not complete within its deadline."""
 
@@ -90,9 +106,15 @@ class AsyncCall(Event):
 
     Completion is settled *inline* from the body's (or the shared
     timer's) dispatch, so the result itself never costs a queue event.
+
+    A call with a timeout subscribes to a shared timer at send
+    (:meth:`Cluster._shared_timer`) and releases that subscription the
+    moment it settles or is interrupted, so a settled call holds no
+    reference from the timer wheel.  A dead or abandoning callee settles
+    nothing; its subscription stays armed until the timer fires.
     """
 
-    __slots__ = ("proc",)
+    __slots__ = ("proc", "_timer", "_slot")
 
     def __init__(self, env: Environment, proc: Any) -> None:
         self.env = env
@@ -103,6 +125,10 @@ class AsyncCall(Event):
         #: The underlying RPC body process (``None`` for a call that
         #: failed before send, e.g. a pre-spent deadline).
         self.proc = proc
+        #: The shared timer this call subscribes to, and its slot there
+        #: (``None`` once settled, or for a call without a timeout).
+        self._timer = None
+        self._slot = 0
 
     @property
     def is_alive(self) -> bool:
@@ -123,11 +149,18 @@ class AsyncCall(Event):
             # Late body outcomes (including failures) are noise now.
             self.proc._defused = True
         self._value = Interrupt(cause)
+        self._release_timer()
         self.env._schedule(self, URGENT, 0.0)
+
+    def _release_timer(self) -> None:
+        if self._timer is not None:
+            _disarm(self._timer, self._slot)
+            self._timer = None
 
     def _settle(self, value: Any) -> None:
         """Complete inline with ``value`` (called from kernel dispatch)."""
         self._value = value
+        self._release_timer()
         callbacks = self.callbacks
         self.callbacks = None
         for callback in callbacks:
@@ -189,6 +222,17 @@ class Cluster:
         entry instead of allocating its own never-to-fire timeout.
         ``exact`` is for deadline-driven waits, where the remaining
         budget must not be silently extended.
+
+        Subscription lifecycle: an RPC arms its expiry callback at send
+        by appending it to ``callbacks`` and keeping the slot index; it
+        disarms at settle by overwriting that slot with a no-op
+        (:func:`_disarm`).  The wheel therefore holds state proportional
+        to the RPCs in flight, not to every RPC issued within a timeout
+        — which, with timeouts of seconds and cells of a fraction of a
+        second, would be every RPC of the cell.  Slots are never removed
+        or reordered: the surviving subscribers fire in their original
+        order, and a settled RPC's callback was a no-op at fire time
+        anyway, so the event schedule is unchanged.
         """
         fire_at = self.env.now + wait_s
         if not exact:
@@ -328,10 +372,12 @@ class Cluster:
         # queue event on every RPC), wait on the body directly and let
         # the shared timer interrupt this process if it fires while the
         # body is still the wait target.  The `_target is body` guard
-        # disarms the timer automatically the moment the caller moves on
-        # (completion, interruption or termination).
+        # makes the timer a no-op the moment the caller moves on
+        # (completion, interruption or termination); the ``finally``
+        # below then releases the subscription itself.
         timer = self._shared_timer(wait_s, exact=deadline_first)
         caller = env.active_process
+        slot = len(timer.callbacks)
 
         def _expire(_timer: Any, caller: Any = caller, body: Any = body) -> None:
             if caller._target is body:
@@ -360,6 +406,9 @@ class Cluster:
                     f"deadline")
             raise RpcTimeout(f"rpc {verb!r} to node {dst.node_id} timed "
                              f"out after {timeout}s")
+        finally:
+            # Release ``_expire`` (and the body it pins) right away.
+            _disarm(timer, slot)
         if result is not _NO_RESPONSE and result is not _EXPIRED:
             return result
         # Dead callee or server-side abandonment: the caller still waits
@@ -409,6 +458,8 @@ class Cluster:
         result = AsyncCall(env, body)
         if wait_s is not None:
             timer = self._shared_timer(wait_s, exact=deadline_first)
+            result._timer = timer
+            result._slot = len(timer.callbacks)
 
             def _expire(_timer: Any) -> None:
                 if result._value is not _PENDING:

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -381,7 +382,23 @@ def cmd_energy(args) -> int:
 def cmd_perf(args) -> int:
     """Kernel perf trajectory: run the microbenchmark suite + calibrated
     stress cell, write ``BENCH_perf.json``, and (optionally) gate
-    against a committed baseline."""
+    against a committed baseline.
+
+    The baseline is read before anything is written, and an ``--out``
+    naming the same file is refused: the gate would otherwise compare
+    the fresh report with itself.
+    """
+    baseline = None
+    if args.baseline:
+        if args.out and os.path.realpath(args.out) \
+                == os.path.realpath(args.baseline):
+            print(f"perf: --out {args.out} would overwrite --baseline "
+                  f"{args.baseline}; write the report elsewhere",
+                  file=sys.stderr)
+            return 2
+        with open(args.baseline, encoding="utf-8") as fh:
+            baseline = json.load(fh)
+
     def progress(name: str, record: dict) -> None:
         print(f"perf: {name}: {record['per_s']:,.0f} {record['unit']}/s "
               f"({record['wall_s']:.3f}s)", file=sys.stderr, flush=True)
@@ -397,9 +414,7 @@ def cmd_perf(args) -> int:
         scale = QUICK_PERF_SCALE if args.quick else PerfScale()
         print()
         print(profile_stress_cell(scale))
-    if args.baseline:
-        with open(args.baseline, encoding="utf-8") as fh:
-            baseline = json.load(fh)
+    if baseline is not None:
         problems = compare_to_baseline(baseline=baseline, current=report,
                                        max_regression=args.max_regression)
         skips = [p for p in problems if p.startswith("skip:")]
@@ -620,7 +635,8 @@ CAMPAIGNS: tuple[Campaign, ...] = (
                            "BENCH_perf.json; '' disables)"),
                  _opt("--baseline", metavar="PATH",
                       help="compare against a baseline BENCH_perf.json "
-                           "and exit 1 on regression"),
+                           "and exit 1 on regression (must differ from "
+                           "--out)"),
                  _opt("--max-regression", type=float, default=0.25,
                       metavar="FRAC",
                       help="tolerated fractional throughput drop vs the "

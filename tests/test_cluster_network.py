@@ -1,10 +1,14 @@
 """Unit tests for the NIC/switch model and the RPC transport."""
 
+import gc
+
 import pytest
 
 from repro.cluster.nic import Network, NetworkSpec, Nic
-from repro.cluster.topology import Cluster, ClusterSpec, DeadNodeError, RpcTimeout
-from repro.sim.kernel import AllOf, Environment
+from repro.cluster.topology import (AsyncCall, Cluster, ClusterSpec,
+                                    DeadlineExceeded, DeadNodeError,
+                                    RpcTimeout, _disarmed)
+from repro.sim.kernel import AllOf, Environment, Interrupt, Process
 from repro.sim.rng import RngRegistry
 
 
@@ -211,3 +215,140 @@ class TestRpc:
         cluster.node(1).register("v", handler)
         with pytest.raises(ValueError):
             cluster.node(1).register("v", handler)
+
+
+class TestTimerWheelRelease:
+    """A settled RPC releases its shared-timer subscription at once.
+
+    Every RPC issued within one wheel tick shares one timer; the wheel
+    must hold state for RPCs still in flight only, and releasing a
+    subscription must not move any timeout that does fire.
+    """
+
+    N = 8
+
+    def make(self):
+        env = Environment()
+        cluster = Cluster(env, ClusterSpec(n_nodes=3), RngRegistry(3))
+
+        def echo(payload):
+            return payload
+            yield  # pragma: no cover
+
+        for node_id in (1, 2):
+            cluster.node(node_id).register("echo", echo)
+        return env, cluster
+
+    @staticmethod
+    def rpc(cluster, api, dst, **bounds):
+        """One client op through ``call`` or ``call_async``: returns
+        ``(outcome, sim time)``; failures come back as values."""
+        env = cluster.env
+        src, dst = cluster.node(0), cluster.node(dst)
+        if api == "call":
+            try:
+                value = yield from cluster.call(src, dst, "echo", "v",
+                                                **bounds)
+            except RpcTimeout as exc:
+                value = exc
+        else:
+            value = yield cluster.call_async(src, dst, "echo", "v", **bounds)
+        return value, env.now
+
+    @staticmethod
+    def shared_timer(env, cluster):
+        """Start the clients (all at t=0) and return their one timer."""
+        env.run(until=0.0)
+        (timer,) = cluster._timers.values()
+        return timer
+
+    @staticmethod
+    def live_rpcs(env):
+        gc.collect()
+        return [o for o in gc.get_objects()
+                if (type(o) is AsyncCall
+                    or (type(o) is Process and o.name == "echo"))
+                and o.env is env]
+
+    @pytest.mark.parametrize("api", ["call", "call_async"])
+    def test_settled_rpcs_leave_only_disarmed_slots(self, api):
+        env, cluster = self.make()
+        clients = [env.process(self.rpc(cluster, api, 1, timeout=1.0))
+                   for _ in range(self.N)]
+        timer = self.shared_timer(env, cluster)
+        assert len(timer.callbacks) == self.N
+        env.run(until=0.5)
+        assert [c.value[0] for c in clients] == ["v"] * self.N
+        assert all(cb is _disarmed for cb in timer.callbacks)
+        assert self.live_rpcs(env) == []
+        env.run()
+        assert env.now == 1.0  # the (now empty) timer still fires
+
+    @pytest.mark.parametrize("api", ["call", "call_async"])
+    @pytest.mark.parametrize("bound, error, fire_at", [
+        ({"timeout": 1.0}, RpcTimeout, 1.0),
+        ({"deadline": 0.75}, DeadlineExceeded, 0.75),
+    ])
+    def test_dead_callee_on_same_tick_still_times_out(self, api, bound,
+                                                      error, fire_at):
+        env, cluster = self.make()
+        cluster.kill(2)
+        live = [env.process(self.rpc(cluster, api, 1, **bound))
+                for _ in range(self.N)]
+        dead = env.process(self.rpc(cluster, api, 2, **bound))
+        timer = self.shared_timer(env, cluster)
+        env.run(until=0.5)
+        assert all(c.triggered for c in live) and not dead.triggered
+        # Only the dead callee's waiter is still subscribed.
+        armed = [cb for cb in timer.callbacks if cb is not _disarmed]
+        assert len(armed) == 1
+        env.run()
+        value, when = dead.value
+        assert type(value) is error
+        assert when == fire_at
+
+    def test_async_hedge_loser_interrupt_disarms_its_slot(self):
+        env, cluster = self.make()
+
+        def slow(payload):
+            yield env.timeout(0.3)
+            return "late"
+
+        cluster.node(1).register("slow", slow)
+        calls = [cluster.call_async(cluster.node(0), cluster.node(1),
+                                    "slow", timeout=1.0) for _ in range(2)]
+        (timer,) = cluster._timers.values()
+        loser, winner = calls
+        env.run(until=0.1)
+        loser.interrupt("hedged")
+        assert timer.callbacks[loser._slot] is _disarmed
+        assert timer.callbacks[winner._slot] is not _disarmed
+        env.run(until=0.5)
+        assert isinstance(loser.value, Interrupt)
+        assert winner.value == "late"
+        assert all(cb is _disarmed for cb in timer.callbacks)
+
+    def test_call_hedge_loser_interrupt_disarms_its_slot(self):
+        env, cluster = self.make()
+
+        def slow(payload):
+            yield env.timeout(0.3)
+            return "late"
+
+        cluster.node(1).register("slow", slow)
+
+        def client():
+            try:
+                yield from cluster.call(cluster.node(0), cluster.node(1),
+                                        "slow", timeout=1.0)
+            except Interrupt:
+                return "cancelled"
+
+        loser = env.process(client())
+        timer = self.shared_timer(env, cluster)
+        env.run(until=0.1)
+        assert timer.callbacks[0] is not _disarmed
+        loser.interrupt("hedged")
+        env.run(until=0.2)
+        assert loser.value == "cancelled"
+        assert timer.callbacks == [_disarmed]

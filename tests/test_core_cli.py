@@ -1,5 +1,7 @@
 """Unit tests for the repro-bench CLI."""
 
+import json
+
 import pytest
 
 from repro.core.cli import build_parser, main
@@ -262,3 +264,70 @@ class TestSurgeCommand:
         summary = payload["cassandra"]["steady"]["full"]
         assert summary["offered"] > 0
         assert "clienttier" in summary and "consistency" in summary
+
+
+class TestPerfGateCommand:
+    """The perf gate must never compare a fresh report with itself."""
+
+    @staticmethod
+    def _report(stress_per_s: float) -> dict:
+        from repro.core.perf import SCHEMA_VERSION
+        return {"schema": SCHEMA_VERSION, "python": "3", "quick": True,
+                "stages": {"event_churn": {
+                    "ops": 1, "wall_s": 1.0, "per_s": stress_per_s,
+                    "unit": "events"}}}
+
+    @pytest.fixture
+    def suite(self, monkeypatch):
+        """Replace the suite with a canned report; count the runs."""
+        import repro.core.cli as cli_mod
+        runs = []
+
+        def fake_suite(quick=False, progress=None):
+            runs.append(quick)
+            return self._report(1_000.0)
+
+        monkeypatch.setattr(cli_mod, "run_perf_suite", fake_suite)
+        return runs
+
+    def test_out_equal_to_baseline_is_refused(self, tmp_path, suite,
+                                              capsys):
+        baseline = tmp_path / "BENCH_perf.json"
+        baseline.write_text(json.dumps(self._report(5_000.0)))
+        before = baseline.read_text()
+        code = main(["perf", "--quick", "--out", str(baseline),
+                     "--baseline", str(baseline)])
+        assert code == 2
+        assert "would overwrite --baseline" in capsys.readouterr().err
+        assert suite == []
+        assert baseline.read_text() == before
+
+    def test_default_out_resolving_to_baseline_is_refused(
+            self, tmp_path, monkeypatch, suite):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "BENCH_perf.json").write_text(
+            json.dumps(self._report(5_000.0)))
+        # The default --out is BENCH_perf.json; the same file named via
+        # another spelling must still be recognised.
+        assert main(["perf", "--quick",
+                     "--baseline", str(tmp_path / "BENCH_perf.json")]) == 2
+        assert main(["perf", "--quick",
+                     "--baseline", "./BENCH_perf.json"]) == 2
+        assert suite == []
+
+    def test_gate_compares_against_the_baseline_before_writing(
+            self, tmp_path, suite, capsys):
+        baseline = tmp_path / "baseline.json"
+        baseline.write_text(json.dumps(self._report(5_000.0)))
+        out = tmp_path / "current.json"
+        code = main(["perf", "--quick", "--out", str(out),
+                     "--baseline", str(baseline)])
+        # 1k/s against a 5k/s baseline is an 80% drop: the gate trips
+        # and the fresh report is still written for inspection.
+        assert code == 1
+        assert "perf gate: FAIL" in capsys.readouterr().err
+        assert suite == [True]
+        assert json.loads(out.read_text())["stages"]["event_churn"][
+            "per_s"] == 1_000.0
+        assert json.loads(baseline.read_text())["stages"]["event_churn"][
+            "per_s"] == 5_000.0

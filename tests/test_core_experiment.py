@@ -1,13 +1,16 @@
 """Integration tests for experiment sessions and sweeps."""
 
+import gc
 from dataclasses import replace
 
 import pytest
 
 from repro.cassandra.consistency import ConsistencyLevel
+from repro.cluster.topology import AsyncCall
 from repro.core.config import default_micro_config, default_stress_config
 from repro.core.experiment import ExperimentSession, run_experiment
 from repro.core.sweep import SweepScale, replication_micro_sweep
+from repro.sim.kernel import Process
 from repro.storage.lsm import StorageSpec
 from repro.ycsb.workload import MICRO_WORKLOADS, STRESS_WORKLOADS
 
@@ -48,6 +51,36 @@ class TestRunExperiment:
         a = run_experiment(tiny_micro("cassandra", seed=1))
         b = run_experiment(tiny_micro("cassandra", seed=2))
         assert a.run.overall().mean != b.run.overall().mean
+
+
+class TestRunCellRetention:
+    """A finished cell keeps no per-operation kernel state alive.
+
+    RPC timeouts (seconds) outlast a whole tiny cell, so anything the
+    transport's shared timers still reference after ``run_cell`` grows
+    with the operations issued.  Live processes and RPC completions
+    must instead be bounded by the concurrency: client threads plus the
+    deployment's background daemons.
+    """
+
+    @pytest.mark.parametrize("db, cls", [
+        ("cassandra", {"read_cl": ConsistencyLevel.QUORUM,
+                       "write_cl": ConsistencyLevel.QUORUM}),
+        ("hbase", {}),
+    ])
+    def test_live_processes_bounded_by_threads_not_ops(self, db, cls):
+        config = tiny_stress(db, rf=3)
+        session = ExperimentSession(config)
+        session.load()
+        result = session.run_cell(**cls)
+        assert result.operations >= 10 * config.n_threads
+        gc.collect()
+        env = session.env
+        live = [o for o in gc.get_objects()
+                if type(o) in (Process, AsyncCall) and o.env is env]
+        assert len(live) <= 2 * config.n_threads, (
+            f"{len(live)} live processes/RPCs after "
+            f"{result.operations} ops on {config.n_threads} threads")
 
 
 class TestExperimentSession:
