@@ -113,6 +113,58 @@ def wait_for_k(env: Environment, procs: list[Process], k: int,
     yield done
 
 
+class _FailureHints:
+    """Stores a hint for each replica mutation of one write that fails.
+
+    Covers the WAN in-flight window: a replica alive at fan-out time
+    that dies before the mutation lands drops it without a trace, and at
+    geo propagation delays that window holds tens of acknowledged
+    writes.  The hint is written when the mutation settles with an
+    exception value (mid-flight death, timeout, shed), long after the
+    client ack — replay after heal then restores convergence.
+    Redelivery is safe: mutations are timestamped upserts.
+
+    The coordinator's *own* mutation is covered too: with a bounded
+    replica stage, the local apply can be shed while remote acks satisfy
+    the level — leaving the coordinator itself the stale replica.  A
+    self-targeted hint replays through the same loop once the stage has
+    room.
+
+    One watcher serves a whole write.  A mutation already settled at
+    arm time is checked at once, in placement order; a pending one when
+    it settles.  Each mutation is forgotten once checked, so the watcher
+    pins only those still in flight.
+    """
+
+    __slots__ = ("coordinator", "replicas", "pending", "hint")
+
+    def __init__(self, coordinator: "Coordinator", replicas: list[int],
+                 acks: list, key: str, value, size: int,
+                 timestamp: float) -> None:
+        self.coordinator = coordinator
+        self.replicas = replicas
+        #: The hint's payload fields after the target node id.
+        self.hint = (key, value, size, timestamp)
+        self.pending = pending = list(acks)
+        for index, ack in enumerate(acks):
+            if ack.callbacks is None:
+                pending[index] = None
+                self._check(replicas[index], ack)
+            else:
+                ack.callbacks.append(self._settled)
+
+    def _settled(self, ack: Event) -> None:
+        index = self.pending.index(ack)
+        self.pending[index] = None
+        self._check(self.replicas[index], ack)
+
+    def _check(self, replica_id: int, ack: Event) -> None:
+        if isinstance(ack._value, Exception):
+            coordinator = self.coordinator
+            coordinator.owner.hints.store(Hint(replica_id, *self.hint))
+            coordinator.stats["hints_stored"] += 1
+
+
 class Coordinator:
     """Coordination logic bound to one :class:`CassandraNode`."""
 
@@ -258,46 +310,6 @@ class Coordinator:
             groups.append((dc, rf // 2 + 1, members))
         return groups
 
-    def _arm_failure_hints(self, ordered: list[int], acks: list,
-                           key: str, value, size: int,
-                           timestamp: float) -> None:
-        """Store a hint for any replica mutation that ultimately fails.
-
-        Covers the WAN in-flight window: a replica alive at fan-out time
-        that dies before the mutation lands drops it without a trace,
-        and at geo propagation delays that window holds tens of
-        acknowledged writes.  The hint is written when the fan-out proc
-        settles with an exception value (mid-flight death, timeout,
-        shed), long after the client ack — replay after heal then
-        restores convergence.  Redelivery is safe: mutations are
-        timestamped upserts.
-
-        The coordinator's *own* mutation is covered too: with a bounded
-        replica stage, the local apply can be shed while remote acks
-        satisfy the level — leaving the coordinator itself the stale
-        replica.  A self-targeted hint replays through the same loop
-        once the stage has room.
-        """
-        store = self.owner.hints
-        stats = self.stats
-
-        def arm(replica_id: int, proc) -> None:
-            def on_settle(event) -> None:
-                if isinstance(event._value, Exception):
-                    store.store(Hint(replica_id, key, value, size,
-                                     timestamp))
-                    stats["hints_stored"] += 1
-            if proc.callbacks is None:
-                if isinstance(proc.value, Exception):
-                    store.store(Hint(replica_id, key, value, size,
-                                     timestamp))
-                    stats["hints_stored"] += 1
-            else:
-                proc.callbacks.append(on_settle)
-
-        for replica_id, proc in zip(ordered, acks):
-            arm(replica_id, proc)
-
     # -- write path -------------------------------------------------------
 
     def handle_write(self, payload) -> Generator:
@@ -367,8 +379,7 @@ class Coordinator:
                                         timestamp))
             self.stats["hints_stored"] += 1
         if self._hint_on_failure:
-            self._arm_failure_hints(ordered, acks, key, value, size,
-                                    timestamp)
+            _FailureHints(self, ordered, acks, key, value, size, timestamp)
         if groups is not None:
             # All fan-out procs are already in flight, so waiting on the
             # groups one after another completes when the *slowest*

@@ -26,8 +26,8 @@ from typing import Any, Generator, Optional
 
 from repro.cluster.nic import Network, NetworkSpec
 from repro.cluster.node import Node, NodeSpec
-from repro.sim.kernel import (URGENT, Environment, Event, Interrupt, Timeout,
-                              _PENDING)
+from repro.sim.kernel import (URGENT, Environment, Event, Interrupt, Process,
+                              Timeout, _PENDING)
 from repro.sim.resources import Overloaded
 from repro.sim.rng import RngRegistry
 
@@ -45,12 +45,9 @@ __all__ = ["AsyncCall", "Cluster", "ClusterSpec", "DeadNodeError",
 #: driver packages need it and importing from ycsb would be circular.
 DEFAULT_CLIENT_OVERHEAD_S = 2e-4
 
-#: Sentinel response meaning "the callee was dead; no response will come".
+#: Sentinel result meaning "the callee was dead, or abandoned the request
+#: past its deadline; no response will come".
 _NO_RESPONSE = object()
-
-#: Sentinel response meaning "the request arrived after its deadline and
-#: was abandoned server-side; no useful response exists".
-_EXPIRED = object()
 
 #: Interrupt cause used by the shared RPC timer to distinguish its own
 #: expiry from an external (hedge-loser) cancellation.
@@ -91,40 +88,97 @@ class DeadNodeError(Exception):
     """An RPC without a deadline targeted a dead node."""
 
 
+#: Handler failures a fan-out call settles with as a value, not a failure.
+_FAN_OUT_ERRORS = (RpcTimeout, DeadNodeError, Overloaded, Interrupt)
+
+
 class AsyncCall(Event):
-    """Completion event of a fire-and-forget RPC (:meth:`Cluster.call_async`).
+    """One RPC in flight, and the event its caller waits on.
 
-    Always *succeeds*; failures arrive as exception **values** — the
-    fan-out convention, so a condition over many replicas never crashes
-    on one slow callee: :class:`RpcTimeout`/:class:`DeadlineExceeded`
-    when the timer wins, :class:`~repro.sim.resources.Overloaded` when
-    the callee shed the request, :class:`~repro.sim.kernel.Interrupt`
-    when the caller cancelled (hedge loser).  The body process keeps
-    running server-side in every case — cancellation does not reach over
-    the wire — which is what lets late replica writes land and keep the
-    staleness/hinted-handoff semantics honest.
+    The call is a small state machine driven by kernel callbacks; no
+    process exists for it until the request reaches the callee:
 
-    Completion is settled *inline* from the body's (or the shared
-    timer's) dispatch, so the result itself never costs a queue event.
+    1. **send** (:meth:`Cluster.call_async` / :meth:`Cluster.call`) —
+       books the request leg (caller CPU, egress serialization, switch
+       hop, callee ingress and CPU) against the busy-until accumulators
+       and waits for it on ONE :class:`~repro.sim.kernel.Timeout`;
+    2. **arrive** — a dead callee or a spent deadline ends the call with
+       no response; otherwise the handler starts as a
+       :class:`~repro.sim.kernel.Process`, subscribed before its eager
+       first segment so a handler that sheds at once is seen too;
+    3. **handled** — the handler's return books the response leg (one
+       more timeout); the process is not referenced again;
+    4. **respond** — the call settles inline with the handler's value.
+
+    A cross-datacenter leg (:meth:`Cluster._crosses_wan`) waits out the
+    wire first and books the receiver's ingress NIC and CPU at the
+    *arrival* instant, not optimistically at send: the busy-until
+    approximation assumes reservation order tracks arrival order, which
+    holds in-rack (every hop is tens of microseconds) but collapses
+    across a WAN — a mutation booked 90 ms ahead would park the
+    replica's ingress channel in the future and queue every rack-local
+    message behind a link that is actually idle.  The deferral costs
+    one extra kernel event per WAN leg.
+
+    Booking a downstream stage at the upstream stage's completion time
+    is *optimistic reservation*: a message starting later but reaching a
+    shared stage earlier keeps FIFO order by reservation, not by
+    arrival — a standard fast-simulator tradeoff that is exact whenever
+    stages are uncontended and microseconds off otherwise.
+
+    A fan-out call (:meth:`Cluster.call_async`) always *succeeds*;
+    failures arrive as exception **values** — so a condition over many
+    replicas never crashes on one slow callee: :class:`RpcTimeout` /
+    :class:`DeadlineExceeded` when the timer wins,
+    :class:`~repro.sim.resources.Overloaded` when the callee shed the
+    request, :class:`~repro.sim.kernel.Interrupt` when the caller
+    cancelled (hedge loser).  Any other handler failure fails the call
+    if someone waits on it, and otherwise crashes the run.  A call made
+    through :meth:`Cluster.call` fails with whatever the handler raised.
+
+    The handler keeps running server-side after a timeout or a
+    cancellation — cancellation does not reach over the wire — which is
+    what lets late replica writes land and keeps the staleness and
+    hinted-handoff semantics honest; its late outcome is dropped.
 
     A call with a timeout subscribes to a shared timer at send
     (:meth:`Cluster._shared_timer`) and releases that subscription the
     moment it settles or is interrupted, so a settled call holds no
     reference from the timer wheel.  A dead or abandoning callee settles
-    nothing; its subscription stays armed until the timer fires.
+    nothing; its subscription stays armed until the timer fires.  The
+    timer and the legs' timeouts hold bound methods of the call, never
+    closures.
     """
 
-    __slots__ = ("proc", "_timer", "_slot")
+    __slots__ = ("cluster", "src", "dst", "verb", "_data", "_size",
+                 "response_bytes", "deadline", "_timeout", "_caller",
+                 "_wan", "_timer", "_slot")
 
-    def __init__(self, env: Environment, proc: Any) -> None:
-        self.env = env
+    def __init__(self, cluster: "Cluster", src: Node, dst: Node, verb: str,
+                 payload: Any, response_bytes: int,
+                 deadline: Optional[float], caller: Any) -> None:
+        self.env = cluster.env
         self.callbacks = []
         self._value = _PENDING
         self._ok = True
         self._defused = False
-        #: The underlying RPC body process (``None`` for a call that
-        #: failed before send, e.g. a pre-spent deadline).
-        self.proc = proc
+        self.cluster = cluster
+        self.src = src
+        self.dst = dst
+        self.verb = verb
+        #: The request payload until the handler starts, then its result.
+        self._data = payload
+        #: Bytes of the message on a WAN leg, booked when it lands.
+        self._size = 0
+        self.response_bytes = response_bytes
+        self.deadline = deadline
+        #: The timeout an expiry quotes (``None``: the deadline bounds
+        #: the wait).
+        self._timeout = None
+        #: The process blocked in :meth:`Cluster.call` (``None`` for a
+        #: fan-out call).
+        self._caller = caller
+        self._wan = False
         #: The shared timer this call subscribes to, and its slot there
         #: (``None`` once settled, or for a call without a timeout).
         self._timer = None
@@ -145,9 +199,6 @@ class AsyncCall(Event):
         """
         if self._value is not _PENDING:
             return
-        if self.proc is not None:
-            # Late body outcomes (including failures) are noise now.
-            self.proc._defused = True
         self._value = Interrupt(cause)
         self._release_timer()
         self.env._schedule(self, URGENT, 0.0)
@@ -165,6 +216,155 @@ class AsyncCall(Event):
         self.callbacks = None
         for callback in callbacks:
             callback(self)
+
+    def _fail(self, exc: BaseException) -> bool:
+        """Settle with a callee-side failure; False when it must crash
+        the run instead (an unexpected error nobody waits on)."""
+        if self._value is not _PENDING:
+            return True  # timed out or cancelled: the late outcome is noise
+        if self._caller is None and isinstance(exc, _FAN_OUT_ERRORS):
+            self._settle(exc)
+        elif self.callbacks:
+            self._ok = False
+            self._settle(exc)
+        else:
+            return False
+        return True
+
+    def _expired(self) -> RpcTimeout:
+        if self._timeout is None:
+            return DeadlineExceeded(f"rpc {self.verb!r} to node "
+                                    f"{self.dst.node_id} exceeded its "
+                                    f"deadline")
+        return RpcTimeout(f"rpc {self.verb!r} to node {self.dst.node_id} "
+                          f"timed out after {self._timeout}s")
+
+    def _expire(self, _timer: Any) -> None:
+        """Shared-timer callback: the wait ran out before a response."""
+        if self._value is not _PENDING:
+            return
+        caller = self._caller
+        if caller is None:
+            self._settle(self._expired())
+        elif caller._target is self:
+            # Guarded delivery: with a propagated deadline the call can
+            # fail (server-side DeadlineExceeded) at the *same* timestamp
+            # this timer fires — the caller then moves on (e.g. into a
+            # retry backoff) before the urgent interrupt lands, and an
+            # unconditional interrupt would crash whatever it does now.
+            caller.interrupt(_TIMED_OUT, if_waiting_on=self)
+
+    def _after(self, when: float, step: Any) -> None:
+        """Run ``step`` at ``when``: on one timeout, or now if due."""
+        env = self.env
+        now = env._now
+        if when > now:
+            Timeout(env, when - now).callbacks.append(step)
+        else:
+            step(None)
+
+    def _start(self, request_bytes: int, src_cpu_s: float) -> None:
+        cluster = self.cluster
+        spec = cluster.spec
+        network = cluster.network
+        src, dst = self.src, self.dst
+        size = request_bytes + spec.envelope_bytes
+        network.messages += 1
+        # ``src_cpu_s`` folds the caller's own pre-request CPU charge
+        # (driver bookkeeping) into the same core reservation as the
+        # request serialization — one timeout instead of two on every
+        # client-issued operation.
+        cpu_done = src.reserve_cpu(src_cpu_s + spec.rpc_cpu_s)
+        arrival = (src.nic.reserve_egress(size, at=cpu_done)
+                   + network.sample_latency(src.nic, dst.nic, size))
+        if cluster._crosses_wan(src, dst):
+            self._wan = True
+            self._size = size
+            self._after(arrival, self._request_landed)
+        else:
+            self._after(dst.reserve_cpu(
+                spec.rpc_cpu_s, at=dst.nic.reserve_ingress(size, at=arrival)),
+                self._arrive)
+
+    def _request_landed(self, _event: Any) -> None:
+        dst = self.dst
+        self._after(dst.reserve_cpu(self.cluster.spec.rpc_cpu_s,
+                                    at=dst.nic.reserve_ingress(self._size)),
+                    self._arrive)
+
+    def _arrive(self, _event: Any) -> None:
+        dst = self.dst
+        if not dst.alive:
+            self._no_response()
+            return
+        deadline = self.deadline
+        if deadline is not None and self.env._now >= deadline:
+            # Deadline propagation: the budget is already spent when the
+            # request arrives, so the callee drops it without computing a
+            # result nobody will read (the caller's own timer fires).
+            self.cluster.abandoned_rpcs += 1
+            self._no_response()
+            return
+        handler = dst.handlers.get(self.verb)
+        if handler is None:
+            exc = LookupError(f"node {dst.node_id} has no handler for "
+                              f"{self.verb!r}")
+            if not self._fail(exc):
+                raise exc
+            return
+        payload, self._data = self._data, None
+        # Static name: an f-string per RPC is measurable at stress scale.
+        Process(self.env, handler(payload), name=self.verb, eager=True,
+                callback=self._handled)
+
+    def _handled(self, proc: Process) -> None:
+        if not proc._ok:
+            if self._fail(proc._value):
+                proc._defused = True
+            # Otherwise the process re-raises: a genuine bug crashes loudly.
+            return
+        src, dst = self.src, self.dst
+        if not dst.alive:
+            self._no_response()
+            return
+        self._data = proc._value
+        cluster = self.cluster
+        spec = cluster.spec
+        network = cluster.network
+        size = self.response_bytes + spec.envelope_bytes
+        network.messages += 1
+        back = (dst.nic.reserve_egress(size)
+                + network.sample_latency(dst.nic, src.nic, size))
+        if self._wan:
+            self._size = size
+            self._after(back, self._response_landed)
+        else:
+            self._after(src.reserve_cpu(
+                spec.rpc_cpu_s, at=src.nic.reserve_ingress(size, at=back)),
+                self._respond)
+
+    def _response_landed(self, _event: Any) -> None:
+        src = self.src
+        self._after(src.reserve_cpu(self.cluster.spec.rpc_cpu_s,
+                                    at=src.nic.reserve_ingress(self._size)),
+                    self._respond)
+
+    def _respond(self, _event: Any) -> None:
+        if self._value is _PENDING:
+            self._settle(self._data)
+
+    def _no_response(self) -> None:
+        """The callee died or dropped the request: no response comes."""
+        if self._value is not _PENDING:
+            return
+        if self._caller is not None:
+            # call() raises DeadNodeError or waits out its own timer.
+            self._settle(_NO_RESPONSE)
+        elif self._timer is None:
+            self._settle(DeadNodeError(
+                f"rpc {self.verb!r} to dead node {self.dst.node_id} "
+                f"(no timeout set)"))
+        # Otherwise the caller still waits out its own timer.
 
 
 @dataclass(frozen=True)
@@ -262,70 +462,45 @@ class Cluster:
         """Bring a crashed node back (state is whatever the DB model kept)."""
         self.nodes[node_id].alive = True
 
+    def _crosses_wan(self, src: Node, dst: Node) -> bool:
+        """Whether a message from ``src`` to ``dst`` crosses a WAN link
+        (never, in one rack; see :class:`AsyncCall`)."""
+        return False
+
     # -- RPC -----------------------------------------------------------
 
-    def _rpc_body(self, src: Node, dst: Node, verb: str, payload: Any,
-                  request_bytes: int, response_bytes: int,
-                  deadline: Optional[float] = None,
-                  src_cpu_s: float = 0.0) -> Generator:
-        """One RPC round trip, as a pipeline of stage reservations.
-
-        Each leg (caller CPU, egress serialization, switch hop, ingress
-        serialization, callee CPU) is booked up front against the
-        busy-until accumulators and collapsed into ONE timeout per
-        direction — versus the seven queue events the step-by-step
-        version cost per message.  Booking a downstream stage at the
-        upstream stage's completion time is *optimistic reservation*: a
-        message starting later but reaching a shared stage earlier keeps
-        FIFO order by reservation, not by arrival — a standard
-        fast-simulator tradeoff that is exact whenever stages are
-        uncontended and microseconds off otherwise.  Liveness and
-        deadline checks happen when the request reaches the handler
-        (previously: on wire arrival, a few tens of microseconds
-        earlier).
-        """
-        env = self.env
-        spec = self.spec
-        network = self.network
-        rpc_cpu = spec.rpc_cpu_s
-        size = request_bytes + spec.envelope_bytes
-        network.messages += 1
-        # ``src_cpu_s`` folds the caller's own pre-request CPU charge
-        # (driver bookkeeping) into the same core reservation as the
-        # request serialization — one timeout instead of two on every
-        # client-issued operation.
-        cpu_done = src.reserve_cpu(src_cpu_s + rpc_cpu)
-        arrival = (src.nic.reserve_egress(size, at=cpu_done)
-                   + network.sample_latency(src.nic, dst.nic, size))
-        handler_at = dst.reserve_cpu(
-            rpc_cpu, at=dst.nic.reserve_ingress(size, at=arrival))
-        now = env._now
-        if handler_at > now:
-            yield Timeout(env, handler_at - now)
-        if not dst.alive:
-            return _NO_RESPONSE
-        if deadline is not None and env._now >= deadline:
-            # Deadline propagation: the budget is already spent when the
-            # request arrives, so the callee drops it without computing a
-            # result nobody will read (the caller's own timer fires).
-            self.abandoned_rpcs += 1
-            return _EXPIRED
-        handler = dst.handlers.get(verb)
-        if handler is None:
-            raise LookupError(f"node {dst.node_id} has no handler for {verb!r}")
-        result = yield from handler(payload)
-        if not dst.alive:
-            return _NO_RESPONSE
-        size = response_bytes + spec.envelope_bytes
-        network.messages += 1
-        back = (dst.nic.reserve_egress(size)
-                + network.sample_latency(dst.nic, src.nic, size))
-        done = src.reserve_cpu(rpc_cpu, at=src.nic.reserve_ingress(size,
-                                                                   at=back))
-        now = env._now
-        if done > now:
-            yield Timeout(env, done - now)
-        return result
+    def _send(self, src: Node, dst: Node, verb: str, payload: Any,
+              request_bytes: int, response_bytes: int,
+              timeout: Optional[float], deadline: Optional[float],
+              src_cpu_s: float, caller: Any = None) -> AsyncCall:
+        """Start one RPC (see :class:`AsyncCall`) and arm its timer."""
+        self.rpc_count += 1
+        rpc = AsyncCall(self, src, dst, verb, payload, response_bytes,
+                        deadline, caller)
+        wait_s = timeout
+        deadline_first = False
+        if deadline is not None:
+            remaining = deadline - self.env._now
+            if remaining <= 0:
+                # Spent before send: a fan-out call settles with the
+                # error as its value, call() raises it.
+                rpc._ok = caller is None
+                rpc._value = DeadlineExceeded(
+                    f"rpc {verb!r} to node {dst.node_id}: deadline already "
+                    f"passed before send")
+                rpc.callbacks = None
+                return rpc
+            if wait_s is None or remaining < wait_s:
+                wait_s = remaining
+                deadline_first = True
+        rpc._start(request_bytes, src_cpu_s)
+        if wait_s is not None:
+            timer = self._shared_timer(wait_s, exact=deadline_first)
+            rpc._timeout = None if deadline_first else timeout
+            rpc._timer = timer
+            rpc._slot = len(timer.callbacks)
+            timer.callbacks.append(rpc._expire)
+        return rpc
 
     def call(self, src: Node, dst: Node, verb: str, payload: Any = None,
              request_bytes: int = 0, response_bytes: int = 0,
@@ -334,91 +509,41 @@ class Cluster:
              src_cpu_s: float = 0.0) -> Generator:
         """Perform an RPC from the calling process (``yield from`` this).
 
-        Returns the handler's return value.  Raises :class:`RpcTimeout`
-        when ``timeout`` elapses first, :class:`DeadlineExceeded` when the
-        absolute ``deadline`` passes first, or :class:`DeadNodeError`
-        when the callee is dead and neither bound was given.
-        ``src_cpu_s`` is extra caller-side CPU charged ahead of the
-        request serialization (see :meth:`_rpc_body`).
+        Returns the handler's return value, or raises what the handler
+        raised.  Raises :class:`RpcTimeout` when ``timeout`` elapses
+        first, :class:`DeadlineExceeded` when the absolute ``deadline``
+        passes first, or :class:`DeadNodeError` when the callee is dead
+        and neither bound was given.  ``src_cpu_s`` is extra caller-side
+        CPU charged ahead of the request serialization.
         """
-        self.rpc_count += 1
-        if deadline is not None and self.env.now >= deadline:
-            raise DeadlineExceeded(
-                f"rpc {verb!r} to node {dst.node_id}: deadline already "
-                f"passed before send")
-        wait_s = timeout
-        deadline_first = False
-        if deadline is not None:
-            remaining = deadline - self.env.now
-            if wait_s is None or remaining < wait_s:
-                wait_s = remaining
-                deadline_first = True
-        if wait_s is None:
-            result = yield from self._rpc_body(
-                src, dst, verb, payload, request_bytes, response_bytes,
-                src_cpu_s=src_cpu_s)
-            if result is _NO_RESPONSE:
-                raise DeadNodeError(
-                    f"rpc {verb!r} to dead node {dst.node_id} (no timeout set)")
-            return result
-        # Static name: an f-string per RPC is measurable at stress scale.
-        env = self.env
-        body = env.process(
-            self._rpc_body(src, dst, verb, payload, request_bytes,
-                           response_bytes, deadline=deadline,
-                           src_cpu_s=src_cpu_s),
-            name=verb, eager=True)
+        rpc = self._send(src, dst, verb, payload, request_bytes,
+                         response_bytes, timeout, deadline, src_cpu_s,
+                         caller=self.env._active_process)
+        if not rpc._ok:
+            raise rpc._value
         # Instead of an AnyOf race (a condition allocation plus an extra
-        # queue event on every RPC), wait on the body directly and let
+        # queue event on every RPC), wait on the call directly and let
         # the shared timer interrupt this process if it fires while the
-        # body is still the wait target.  The `_target is body` guard
-        # makes the timer a no-op the moment the caller moves on
-        # (completion, interruption or termination); the ``finally``
-        # below then releases the subscription itself.
-        timer = self._shared_timer(wait_s, exact=deadline_first)
-        caller = env.active_process
-        slot = len(timer.callbacks)
-
-        def _expire(_timer: Any, caller: Any = caller, body: Any = body) -> None:
-            if caller._target is body:
-                # Guarded delivery: with a propagated deadline the body
-                # can fail (server-side DeadlineExceeded) at the *same*
-                # timestamp this timer fires — the caller then moves on
-                # (e.g. into a retry backoff) before the urgent
-                # interrupt lands, and an unconditional interrupt would
-                # crash whatever it is doing now.
-                caller.interrupt(_TIMED_OUT, if_waiting_on=body)
-
-        timer.callbacks.append(_expire)
+        # call is still the wait target (:meth:`AsyncCall._expire`).
+        timer = rpc._timer
         try:
-            result = yield body
+            result = yield rpc
         except Interrupt as exc:
-            # The body keeps running server-side either way (cancellation
-            # does not reach over the wire), so defuse it lest a late
-            # handler failure crash the kernel.
-            body.defuse()
             if exc.cause is not _TIMED_OUT:
                 # Hedge-loser cancellation: the caller abandoned this RPC.
                 raise
-            if deadline_first:
-                raise DeadlineExceeded(
-                    f"rpc {verb!r} to node {dst.node_id} exceeded its "
-                    f"deadline")
-            raise RpcTimeout(f"rpc {verb!r} to node {dst.node_id} timed "
-                             f"out after {timeout}s")
+            raise rpc._expired()
         finally:
-            # Release ``_expire`` (and the body it pins) right away.
-            _disarm(timer, slot)
-        if result is not _NO_RESPONSE and result is not _EXPIRED:
+            rpc._release_timer()
+        if result is not _NO_RESPONSE:
             return result
+        if timer is None:
+            raise DeadNodeError(
+                f"rpc {verb!r} to dead node {dst.node_id} (no timeout set)")
         # Dead callee or server-side abandonment: the caller still waits
         # out its own timer before giving up.
         yield timer
-        if deadline_first:
-            raise DeadlineExceeded(
-                f"rpc {verb!r} to node {dst.node_id} exceeded its deadline")
-        raise RpcTimeout(f"rpc {verb!r} to node {dst.node_id} timed out "
-                         f"after {timeout}s")
+        raise rpc._expired()
 
     def call_async(self, src: Node, dst: Node, verb: str, payload: Any = None,
                    request_bytes: int = 0, response_bytes: int = 0,
@@ -430,85 +555,8 @@ class Cluster:
         Use for fan-out: fire several calls, then ``yield AllOf(...)`` /
         ``AnyOf(...)`` over the returned events.  Failures become
         exception *values*, never raises, so one dead or shedding callee
-        cannot crash the whole condition.  Costs a single process (the
-        RPC body) per call — the timeout race and the failure-to-value
-        conversion live in callbacks, not in a wrapper process.
+        cannot crash the whole condition.  No process exists for the
+        call until its request reaches the callee.
         """
-        self.rpc_count += 1
-        env = self.env
-        wait_s = timeout
-        deadline_first = False
-        if deadline is not None:
-            remaining = deadline - env._now
-            if remaining <= 0:
-                result = AsyncCall(env, None)
-                result._value = DeadlineExceeded(
-                    f"rpc {verb!r} to node {dst.node_id}: deadline already "
-                    f"passed before send")
-                result.callbacks = None
-                return result
-            if wait_s is None or remaining < wait_s:
-                wait_s = remaining
-                deadline_first = True
-        body = env.process(
-            self._rpc_body(src, dst, verb, payload, request_bytes,
-                           response_bytes, deadline=deadline,
-                           src_cpu_s=src_cpu_s),
-            name=verb, eager=True)
-        result = AsyncCall(env, body)
-        if wait_s is not None:
-            timer = self._shared_timer(wait_s, exact=deadline_first)
-            result._timer = timer
-            result._slot = len(timer.callbacks)
-
-            def _expire(_timer: Any) -> None:
-                if result._value is not _PENDING:
-                    return
-                body._defused = True
-                if deadline_first:
-                    result._settle(DeadlineExceeded(
-                        f"rpc {verb!r} to node {dst.node_id} exceeded its "
-                        f"deadline"))
-                else:
-                    result._settle(RpcTimeout(
-                        f"rpc {verb!r} to node {dst.node_id} timed out "
-                        f"after {timeout}s"))
-
-            timer.callbacks.append(_expire)
-        else:
-            timer = None
-
-        def _finish(_body: Any) -> None:
-            if result._value is not _PENDING:
-                # Timed out or cancelled; the late outcome is noise.
-                if not _body._ok:
-                    _body._defused = True
-                return
-            value = _body._value
-            if _body._ok:
-                if value is _NO_RESPONSE or value is _EXPIRED:
-                    # Dead callee or server-side abandonment: the caller
-                    # still waits out its own timer (matches call()).
-                    if timer is None:
-                        result._settle(DeadNodeError(
-                            f"rpc {verb!r} to dead node {dst.node_id} "
-                            f"(no timeout set)"))
-                    return
-                result._settle(value)
-            elif isinstance(value, (RpcTimeout, DeadNodeError, Overloaded,
-                                    Interrupt)):
-                _body._defused = True
-                result._settle(value)
-            elif result.callbacks:
-                # Unexpected failure (e.g. a replica process crashing
-                # mid-request): propagate as a *failure* of the result,
-                # so waiters re-raise it and fan-out conditions defuse
-                # it — exactly what the old wrapper process did.
-                _body._defused = True
-                result._ok = False
-                result._settle(value)
-            # No watchers: stay armed so the kernel's unhandled-failure
-            # check crashes loudly on genuine bugs.
-
-        body.callbacks.append(_finish)
-        return result
+        return self._send(src, dst, verb, payload, request_bytes,
+                          response_bytes, timeout, deadline, src_cpu_s)

@@ -235,11 +235,14 @@ class Process(Event):
     __slots__ = ("_generator", "_target", "name")
 
     def __init__(self, env: "Environment", generator: Generator,
-                 name: Optional[str] = None, eager: bool = False) -> None:
+                 name: Optional[str] = None, eager: bool = False,
+                 callback: Optional[Callable[["Event"], None]] = None) -> None:
         if not hasattr(generator, "throw"):
             raise SimulationError(f"{generator!r} is not a generator")
         self.env = env
-        self.callbacks = []
+        # ``callback`` subscribes before an eager first segment runs, so
+        # it also observes a body that finishes (or fails) right here.
+        self.callbacks = [] if callback is None else [callback]
         self._value = _PENDING
         self._ok = True
         self._defused = False

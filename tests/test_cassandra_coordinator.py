@@ -563,3 +563,44 @@ class TestHedgedReads:
         assert value == "value"
         assert coordinator.stats["hedged_reads"] == 0
         env.run(until=env.now + 10.0)
+
+
+class TestFailureHints:
+    """Every replica mutation of a write that ends in failure leaves a
+    hint — the coordinator's own shed apply as well as a remote replica
+    that died with the mutation in flight."""
+
+    def test_local_shed_and_remote_timeout_store_two_hints(self):
+        from repro.sim.resources import Overloaded
+
+        env = Environment()
+        cluster = Cluster(env, ClusterSpec(n_nodes=5), RngRegistry(21))
+        # A bounded replica stage turns failure hints on.
+        cassandra = CassandraCluster(cluster, CassandraSpec(
+            replication=3, max_handler_queue=4, replica_timeout_s=0.5))
+        key = key_for_index(7)
+        coord_id, victim, healthy = cassandra.replicas_of(key)
+        cnode = cassandra.nodes[coord_id]
+
+        def shed_local_mutate(*_args):
+            raise Overloaded("replica stage full")
+            yield  # pragma: no cover
+
+        cnode.local_mutate = shed_local_mutate
+        send = cluster.call_async
+
+        def call_async(src, dst, *args, **kwargs):
+            rpc = send(src, dst, *args, **kwargs)
+            if dst.node_id == victim:
+                cluster.kill(victim)  # dies with the mutation on the wire
+            return rpc
+
+        cluster.call_async = call_async
+        assert drive(env, cnode.coordinator.handle_write(
+            (key, "v", 100, 0.0, ConsistencyLevel.ONE.value))) is True
+        env.run(until=0.9)  # past the victim's 0.5 s replica timeout
+        assert cnode.coordinator.stats["hints_stored"] == 2
+        # In placement order: the shed apply was already settled when
+        # the watcher armed, the in-flight mutation settled later.
+        assert [h.target_node_id for h in cnode.hints._hints] \
+            == [r for r in cassandra.replicas_of(key) if r != healthy]

@@ -7,7 +7,8 @@ import pytest
 
 from repro.cassandra.consistency import ConsistencyLevel
 from repro.cluster.topology import AsyncCall
-from repro.core.config import default_micro_config, default_stress_config
+from repro.core.config import (default_geo_config, default_micro_config,
+                               default_stress_config)
 from repro.core.experiment import ExperimentSession, run_experiment
 from repro.core.sweep import SweepScale, replication_micro_sweep
 from repro.sim.kernel import Process
@@ -70,9 +71,24 @@ class TestRunCellRetention:
     ])
     def test_live_processes_bounded_by_threads_not_ops(self, db, cls):
         config = tiny_stress(db, rf=3)
+        self.check(config, **cls)
+
+    def test_geo_checked_cell_bounded_by_threads(self):
+        """Cross-DC mutations outlive their client acks on the WAN; the
+        oracle-checked 3-DC LOCAL_QUORUM cell must still drain to the
+        same bound."""
+        config = default_geo_config(record_count=300, operation_count=600,
+                                    n_threads=16, target_throughput=1_200.0,
+                                    seed=3)
+        self.check(config, read_cl=ConsistencyLevel.LOCAL_QUORUM,
+                   write_cl=ConsistencyLevel.LOCAL_QUORUM,
+                   check_consistency=True)
+
+    @staticmethod
+    def check(config, **run_kwargs):
         session = ExperimentSession(config)
         session.load()
-        result = session.run_cell(**cls)
+        result = session.run_cell(**run_kwargs)
         assert result.operations >= 10 * config.n_threads
         gc.collect()
         env = session.env

@@ -132,6 +132,26 @@ class TestProcess:
         with pytest.raises(KeyError):
             env.run()
 
+    def test_callback_sees_eager_body_that_fails_at_once(self, env):
+        """The callback subscribes before the eager first segment, so it
+        can consume a failure raised inside the constructor."""
+        from repro.sim.kernel import Process
+
+        def failing():
+            raise KeyError("shed")
+            yield  # pragma: no cover
+
+        seen = []
+
+        def consume(proc):
+            seen.append(type(proc.value))
+            proc.defuse()
+
+        proc = Process(env, failing(), eager=True, callback=consume)
+        assert seen == [KeyError] and not proc.is_alive
+        with pytest.raises(KeyError):
+            Process(env, failing(), eager=True)
+
     def test_yield_already_processed_event_resumes_immediately(self, env):
         done = env.event()
         done.succeed("early")
